@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race shards policies pipeline cluster lowslow check bench profile experiments metrics-smoke serve-smoke clean
+.PHONY: all build vet test race shards policies cluster lowslow check bench profile experiments metrics-smoke serve-smoke clean
 
 all: check
 
@@ -23,26 +23,16 @@ test:
 race:
 	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/core/ ./internal/experiments/ ./internal/packet/
 
-# Shard-determinism gate (DESIGN.md §8.4, §9, §12): the sharded FlowCache,
-# the tier pipeline, the event bus, the batched datapath and the session
-# lifecycle under the race detector — parallel replay must reproduce
-# sequential state, the tiered platform must match legacy, every batch
-# size must be byte-identical to the per-packet drive, and the session
-# control plane must be race-free against a live ingest.
+# Drive-determinism gate (DESIGN.md §8.4, §9, §12): the sharded FlowCache,
+# the tier pipeline, the event bus, the batched drive and the session
+# lifecycle under the race detector — the drive must reproduce the
+# committed golden digests (internal/core/testdata/drive_golden.txt) at
+# every BatchSize × Shards, and the session control plane must be
+# race-free against a live ingest and concurrent Close. The SPSC ring the
+# cluster hands batches over rides along.
 shards:
 	$(GO) vet ./...
-	$(GO) test -race -run 'Shard|Bus|Pipeline|Event|TierPipeline|AtomicCounts|Batch|Session' ./internal/flowcache/ ./internal/tier/ ./internal/core/
-
-# Pipelined-drive gate (DESIGN.md §13): the SPSC ring, the persistent
-# shard worker pool (steady-state alloc-freedom, goroutine-leak /
-# restart lifecycle), and the tier-overlap determinism sweep — the
-# pipelined drive must be byte-identical to the sequential oracle at
-# every Shards × BatchSize combination, including mid-stream Exec
-# barriers — all under the race detector. The sweep replays the full
-# platform dozens of times; allow a generous timeout on slow boxes.
-pipeline:
-	$(GO) vet ./...
-	$(GO) test -race -timeout 45m -run 'SPSC|Pool|Pipelined' ./internal/container/ ./internal/flowcache/ ./internal/core/
+	$(GO) test -race -run 'Shard|Bus|Pipeline|Event|Golden|AtomicCounts|Batch|Session|LowSlowDeterminism|SPSC' ./internal/container/ ./internal/flowcache/ ./internal/tier/ ./internal/core/
 
 # Replacement-policy / adaptive-controller gate (DESIGN.md §11): golden
 # LRU-LPC extraction, policy divergence + determinism, controller

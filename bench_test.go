@@ -58,7 +58,7 @@ func BenchmarkTable4Detection(b *testing.B)  { run(b, experiments.Table4Detectio
 
 // BenchmarkPlatformPipeline measures the end-to-end public-API pipeline:
 // background traffic through the assembled platform (switch + sNIC + host)
-// per packet.
+// at the default BatchSize (1-wide vectors).
 func BenchmarkPlatformPipeline(b *testing.B) {
 	w := smartwatch.NewWorkload(smartwatch.WorkloadConfig{
 		Seed: 1, Flows: 5000, PacketRate: 2e6, Duration: 1e12,
@@ -140,20 +140,6 @@ func BenchmarkFlowCacheProcessBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedBatchFanout measures the batched shard router: 64k
-// packets per op through RunParallelBatches(·, 256) on 4 shards — the
-// slice-per-batch handoff that replaces RunParallel's per-packet channel
-// send.
-func BenchmarkShardedBatchFanout(b *testing.B) {
-	s := flowcache.NewSharded(4, flowcache.DefaultConfig(10), flowcache.ControllerConfig{})
-	pkts := benchPackets(1 << 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.RunParallelBatches(pkts, 256)
-	}
-}
-
 // BenchmarkPlatformPipelineBatched is BenchmarkPlatformPipeline with the
 // batched drive (BatchSize=64): end-to-end per-packet cost including the
 // vectored ingest and pre-hashed FlowCache path.
@@ -175,35 +161,6 @@ func BenchmarkPlatformPipelineBatched(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkPlatformPipelineOverlapped is BenchmarkPlatformPipelineBatched
-// with Pipelined set: flow-identity prep of the next 64-packet chunk
-// overlaps the stateful tier work of the current one on the persistent
-// prep worker. Results are byte-identical to the batched drive; only the
-// wall-clock differs.
-func BenchmarkPlatformPipelineOverlapped(b *testing.B) {
-	w := smartwatch.NewWorkload(smartwatch.WorkloadConfig{
-		Seed: 1, Flows: 5000, PacketRate: 2e6, Duration: 1e12,
-	})
-	pl := smartwatch.New(smartwatch.Config{IntervalNs: 100e6, BatchSize: 64, Pipelined: true})
-	b.ResetTimer()
-	n := int64(0)
-	pl.Run(func(yield func(smartwatch.Packet) bool) {
-		for p := range w.Stream() {
-			if n >= int64(b.N) {
-				return
-			}
-			n++
-			if !yield(p) {
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	if err := pl.Close(); err != nil {
-		b.Fatal(err)
-	}
 }
 
 // BenchmarkSNICDispatch measures the discrete-event dispatch loop: thread

@@ -5,14 +5,12 @@
 // It measures two layers:
 //
 //   - micro: the FlowCache Process hot path, the sNIC dispatch loop, the
-//     buffered stream bridge, the sharded FlowCache datapath (sequential
-//     vs pooled workers vs spawn-per-call fan-out, 64k packets per op)
-//     end-to-end session ingest (sequential vs pipelined drive), the
+//     buffered stream bridge, the sharded FlowCache datapath (64k packets
+//     per op), end-to-end session ingest on the batched drive, the
 //     cluster steering decision and the cluster drive at 1/2/4 workers,
 //     via testing.Benchmark (ns/op, allocs/op); micros whose parallelism
-//     cannot exist on the current box (pipelined ingest, multi-worker
-//     cluster drives on GOMAXPROCS=1) are skipped and noted rather than
-//     measured as noise;
+//     cannot exist on the current box (multi-worker cluster drives on
+//     GOMAXPROCS=1) are skipped and noted rather than measured as noise;
 //   - macro: wall-clock for the full `experiments all` sweep at a small
 //     scale, sequential vs parallel, plus the resulting speedup.
 //
@@ -222,9 +220,13 @@ func main() {
 	ash := flowcache.NewSharded(1, flowcache.DefaultConfig(10), acfg)
 	snap.Micro["flowcache_adaptive_observe_process"] = toMicro(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
+		var acc flowcache.BatchAcc
 		for i := 0; i < b.N; i++ {
-			ash.ObserveProcess(&pkts[i&(len(pkts)-1)])
+			p := &pkts[i&(len(pkts)-1)]
+			key := p.Key()
+			ash.ObserveProcessHashed(p, key.Hash(), key, &acc)
 		}
+		ash.FlushAcc(&acc)
 	}))
 
 	// LowSlow detector hot path: per-SYN wheel Schedule plus the Advance
@@ -292,101 +294,52 @@ func main() {
 	}))
 
 	// Sharded datapath: one op is the whole 64k-packet slice, so the
-	// shards=1 and shards=4 numbers divide directly into per-packet cost
-	// and unsharded-vs-sharded throughput.
+	// number divides directly into per-packet cost.
 	fmt.Fprintln(os.Stderr, "bench: sharded flowcache, shards=1 sequential (64k pkts/op) ...")
 	sh1 := flowcache.NewSharded(1, flowcache.DefaultConfig(10), flowcache.ControllerConfig{})
 	snap.Micro["flowcache_sharded1_64k"] = toMicro(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
+		var acc flowcache.BatchAcc
 		for i := 0; i < b.N; i++ {
 			for j := range pkts {
-				sh1.ObserveProcess(&pkts[j])
+				p := &pkts[j]
+				key := p.Key()
+				sh1.ObserveProcessHashed(p, key.Hash(), key, &acc)
 			}
-		}
-	}))
-
-	fmt.Fprintln(os.Stderr, "bench: sharded flowcache, shards=4 parallel workers (64k pkts/op) ...")
-	sh4 := flowcache.NewSharded(4, flowcache.DefaultConfig(10), flowcache.ControllerConfig{})
-	snap.Micro["flowcache_sharded4_parallel_64k"] = toMicro(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sh4.RunParallel(pkts, 256)
-		}
-	}))
-
-	fmt.Fprintln(os.Stderr, "bench: sharded flowcache, shards=4 batched fan-out (64k pkts/op) ...")
-	sh4b := flowcache.NewSharded(4, flowcache.DefaultConfig(10), flowcache.ControllerConfig{})
-	snap.Micro["flowcache_sharded4_batch256_64k"] = toMicro(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sh4b.RunParallelBatches(pkts, 256)
-		}
-	}))
-
-	// Pool A/B: the same fan-out with goroutines/channels/buffers created
-	// per call (the pre-pool implementation). The delta against
-	// flowcache_sharded4_batch256_64k is the persistent worker pool's win.
-	fmt.Fprintln(os.Stderr, "bench: sharded flowcache, shards=4 spawn-per-call fan-out (64k pkts/op) ...")
-	sh4s := flowcache.NewSharded(4, flowcache.DefaultConfig(10), flowcache.ControllerConfig{})
-	snap.Micro["flowcache_sharded4_spawn256_64k"] = toMicro(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sh4s.RunParallelBatchesSpawn(pkts, 256)
+			sh1.FlushAcc(&acc)
 		}
 	}))
 
 	// End-to-end session ingest: one op pushes the whole 64k-packet slice
 	// through a live session in 512-packet vectors on the batched drive
-	// (sharded platform), sequential vs pipelined. The session — and so the
-	// prep worker and any pool goroutines — persists across ops, measuring
-	// the steady state the -serve daemon runs in.
-	multiCore := runtime.GOMAXPROCS(0) >= 2
-	for _, sc := range []struct {
-		name      string
-		pipelined bool
-	}{
-		{"session_ingest_64k", false},
-		{"session_ingest_pipelined_64k", true},
-	} {
-		if sc.pipelined && !multiCore {
-			// The pipelined drive needs a second core for the prep worker to
-			// overlap with; on one core the micro only measures scheduler
-			// churn and poisons -compare across box sizes.
-			snap.Notes = append(snap.Notes, sc.name+" skipped: GOMAXPROCS=1, no prep/stateful overlap possible")
-			fmt.Fprintf(os.Stderr, "bench: %s skipped (GOMAXPROCS=1)\n", sc.name)
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "bench: session ingest, pipelined=%v (64k pkts/op, batch=64) ...\n", sc.pipelined)
-		spkts := append([]packet.Packet(nil), pkts...)
-		pl := core.New(core.Config{IntervalNs: 100e6, Shards: 4, BatchSize: 64, Pipelined: sc.pipelined})
-		ses := pl.NewSession()
-		if err := ses.Start(); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		snap.Micro[sc.name] = toMicro(testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				span := int64(len(spkts))
-				for j := range spkts {
-					spkts[j].Ts += span // keep virtual time monotonic across ops
-				}
-				for lo := 0; lo < len(spkts); lo += 512 {
-					hi := min(lo+512, len(spkts))
-					if err := ses.Ingest(spkts[lo:hi]); err != nil {
-						b.Fatal(err)
-					}
+	// (sharded platform). The session persists across ops, measuring the
+	// steady state the -serve daemon runs in.
+	fmt.Fprintln(os.Stderr, "bench: session ingest (64k pkts/op, batch=64) ...")
+	spkts := append([]packet.Packet(nil), pkts...)
+	spl := core.New(core.Config{IntervalNs: 100e6, Shards: 4, BatchSize: 64})
+	ses := spl.NewSession()
+	if err := ses.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		os.Exit(1)
+	}
+	snap.Micro["session_ingest_64k"] = toMicro(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			span := int64(len(spkts))
+			for j := range spkts {
+				spkts[j].Ts += span // keep virtual time monotonic across ops
+			}
+			for lo := 0; lo < len(spkts); lo += 512 {
+				hi := min(lo+512, len(spkts))
+				if err := ses.Ingest(spkts[lo:hi]); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}))
-		if _, err := ses.Drain(); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
 		}
-		if err := ses.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
+	}))
+	if err := ses.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		os.Exit(1)
 	}
 
 	// Steering decision in isolation: canonical flow key + hash + top-bits
@@ -411,6 +364,7 @@ func main() {
 	// fan-out cost. w1 is the ring+feeder overhead over a plain session;
 	// w2/w4 divide into the parallel speedup (skipped on a single-core box,
 	// where no worker overlap is possible).
+	multiCore := runtime.GOMAXPROCS(0) >= 2
 	for _, w := range []int{1, 2, 4} {
 		name := fmt.Sprintf("cluster_drive_64k_w%d", w)
 		if w > 1 && !multiCore {

@@ -1,8 +1,8 @@
 // Package cluster scales SmartWatch horizontally (DESIGN.md §14): one
 // shared P4 switch steering tier in front of N fully independent
 // core.Platform workers, each with its own sNIC engine, FlowCache,
-// detectors and host tier, each driven on its own goroutine through the
-// persistent pipelined drive. Packets fan out by consistent hashing over
+// detectors and host tier, each driven on its own goroutine through a
+// persistent core.Session. Packets fan out by consistent hashing over
 // the canonical flow key — the same hash the workers need anyway, so the
 // cluster adds no hashing — and the per-worker reports fold back into one
 // merged cluster report at drain.
@@ -119,8 +119,8 @@ func ParseSteerPolicy(s string) (SteerPolicy, error) {
 // the feeder). Power of two: it sizes the SPSC rings exactly.
 const queueDepth = 4
 
-// spinPasses matches the flowcache pool's parking protocol: yield-and-
-// recheck passes before committing to a wake channel.
+// spinPasses is the parking protocol's yield-and-recheck pass count
+// before a waiter commits to a wake channel.
 const spinPasses = 8
 
 // Config assembles a cluster runner.
@@ -294,8 +294,7 @@ type Runner struct {
 	torn  bool
 
 	stop atomic.Bool
-	// Router parking for the fold/drain barrier (mirrors the flowcache
-	// pool's protocol).
+	// Router parking for the fold/drain barrier (spinPasses protocol).
 	routerWaiting atomic.Bool
 	routerWake    chan struct{}
 
@@ -822,8 +821,8 @@ func (r *Runner) fold() {
 }
 
 // barrier waits until every feeder has drained everything the router
-// issued, spin-then-park like the flowcache pool's router, then surfaces
-// any worker failure.
+// issued, spinning spinPasses times before parking, then surfaces any
+// worker failure.
 func (r *Runner) barrier() error {
 	for _, w := range r.workers {
 		if w.completed.Load() == w.issued {

@@ -162,7 +162,6 @@ func oracleAConfig(workers, shards, batch int) Config {
 			IntervalNs:   20e6,
 			Shards:       shards,
 			BatchSize:    batch,
-			Pipelined:    batch > 1,
 		},
 		Detectors:   detectorFactory(),
 		QueueBatch:  64,
@@ -278,9 +277,6 @@ func TestClusterMatchesSinglePlatformSteering(t *testing.T) {
 			if err := r.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := single.Close(); err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }
@@ -355,9 +351,6 @@ func TestClusterMatchesSinglePlatformDetectors(t *testing.T) {
 				t.Errorf("flow-log union diverged:\n%s", firstDiff(wantKV, gotKV))
 			}
 			if err := r.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := single.Close(); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,12 +1,14 @@
-// Batched drive (DESIGN.md §9): Config.BatchSize > 1 drains ingest in
-// vectors, amortising per-packet dispatch without changing a single
-// observable byte. The invariant the whole file is built around:
-// batching may only move work that commutes — counter folds, stat-delta
-// accumulation, hash pre-computation, producer decoupling — and must
-// keep every stateful sequence in per-packet order. Concretely:
+// Batched drive (DESIGN.md §9): the platform's only drive. It drains
+// ingest in vectors of Config.BatchSize packets (1-wide when BatchSize ≤
+// 1), amortising per-packet dispatch without changing a single observable
+// byte: every vector width reproduces the same committed golden digests
+// (testdata/drive_golden.txt). The invariant the whole file is built
+// around: batching may only move work that commutes — counter folds,
+// stat-delta accumulation, hash pre-computation — and must keep every
+// stateful sequence in per-packet order. Concretely:
 //
 //   - Timer work (detector ticks, interval closes) fires between packets
-//     exactly where the per-packet drive fires it: each vector is split
+//     exactly where per-packet processing fires it: each vector is split
 //     into sub-batches at the next timer boundary, with the boundary
 //     recomputed after the tick that opens each sub-batch.
 //   - Steering stays per-packet, interleaved with sNIC processing:
@@ -32,15 +34,14 @@ import (
 	"smartwatch/internal/tier"
 )
 
-// batchedFilter is the vectorised twin of the per-packet filtered
-// stream: it yields exactly the packets the per-packet drive would yield,
-// in the same order, with identical side effects on the platform. It
-// consumes pre-chunked vectors (the session re-chunks its ingest to exact
-// BatchSize boundaries with rechunk, reproducing the vector boundaries
-// packet.BufferedBatches used to produce here) so that the entire pull
-// chain — source, chunking, filtering, engine — runs synchronously on the
-// one drive goroutine; that is what makes Session.Exec's packet-boundary
-// control ops race-free.
+// batchedFilter turns ingest vectors into the stream the sNIC engine
+// pulls: it yields every packet that reaches the sNIC, in arrival order,
+// after running the wire tier over it. It consumes pre-chunked vectors
+// (the session re-chunks its ingest to exact BatchSize boundaries with
+// rechunk, reproducing the vector boundaries packet.BufferedBatches used
+// to produce here) so that the entire pull chain — source, chunking,
+// filtering, engine — runs synchronously on the one drive goroutine; that
+// is what makes Session.Exec's packet-boundary control ops race-free.
 func (pl *Platform) batchedFilter(vecs iter.Seq[[]packet.Packet]) packet.Stream {
 	return func(yield func(packet.Packet) bool) {
 		size := pl.cfg.BatchSize
@@ -59,11 +60,8 @@ func (pl *Platform) batchedFilter(vecs iter.Seq[[]packet.Packet]) packet.Stream 
 }
 
 // prepIdentity fills ctxs[0:len(batch)] with each packet's flow identity
-// — context reset, canonical key, flow hash. It is PURE with respect to
-// platform state (it touches only the context vector and reads only the
-// packets), which is the property the pipelined drive exploits: prep for
-// chunk N+1 may run on another goroutine while chunk N's stateful
-// ingest/steer/sNIC work is still in flight (pipeline.go).
+// — context reset, canonical key, flow hash. It touches only the context
+// vector and reads only the packets.
 func prepIdentity(batch []packet.Packet, ctxs []*tier.Context) {
 	for j := range batch {
 		c := ctxs[j]
@@ -75,17 +73,16 @@ func prepIdentity(batch []packet.Packet, ctxs []*tier.Context) {
 }
 
 // consumePrepped runs one identity-prepped chunk through the stateful
-// half of the batched drive — timer-split sub-batches, vectored ingest,
-// per-packet steer, yield into the sNIC engine — exactly as the original
-// batched filter did. Returns false when the engine stopped pulling
-// (yield returned false); counters are flushed either way. Must run on
-// the drive goroutine.
+// half of the drive — timer-split sub-batches, vectored ingest,
+// per-packet steer, yield into the sNIC engine. Returns false when the
+// engine stopped pulling (yield returned false); counters are flushed
+// either way. Must run on the drive goroutine.
 func (pl *Platform) consumePrepped(batch []packet.Packet, ctxs []*tier.Context, yield func(packet.Packet) bool) bool {
 	for lo := 0; lo < len(batch); {
 		// Fire timers due at the sub-batch head FIRST, then bound
 		// the sub-batch below the next timer so nothing can fire
 		// inside it — interval flushes and detector ticks observe
-		// exactly the state the per-packet drive would show them.
+		// exactly the state per-packet processing would show them.
 		pl.maybeTick(batch[lo].Ts)
 		bound := pl.nextTick
 		if pl.nextInterval < bound {
@@ -106,9 +103,8 @@ func (pl *Platform) consumePrepped(batch []packet.Packet, ctxs []*tier.Context, 
 		} else {
 			pl.ingest.ProcessBatch(cs)
 			if pl.metrics != nil {
-				// Stage-level metrics parity with the per-packet
-				// drive: ingest ran outside the pipeline walk, so
-				// observe it here (stage 0 of the wire pipeline).
+				// Ingest ran outside the pipeline walk, so observe it
+				// here (stage 0 of the wire pipeline).
 				for j := range sub {
 					pl.wire.ObserveStage(0, cs[j])
 				}
@@ -146,34 +142,19 @@ func (pl *Platform) consumePrepped(batch []packet.Packet, ctxs []*tier.Context, 
 				}
 			}
 			toSNIC++
-			pl.pendHash, pl.pendKey, pl.pendValid = c.Hash, c.Key, true
+			pl.pendHash, pl.pendKey = c.Hash, c.Key
 			if !yield(sub[j]) {
 				flush()
 				return false
 			}
 		}
 		// Flush before the next maybeTick: interval observers must
-		// see aggregate stats exactly as the per-packet drive left
+		// see aggregate stats exactly as per-packet processing left
 		// them.
 		flush()
 		lo = hi
 	}
 	return true
-}
-
-// flatten unrolls ingested vectors into the per-packet stream the
-// unbatched and legacy filters consume. Synchronous: the caller's
-// goroutine is the only one that ever touches the vectors.
-func flatten(vecs iter.Seq[[]packet.Packet]) packet.Stream {
-	return func(yield func(packet.Packet) bool) {
-		for b := range vecs {
-			for i := range b {
-				if !yield(b[i]) {
-					return
-				}
-			}
-		}
-	}
 }
 
 // rechunk re-vectors an ingest sequence to exact size boundaries,

@@ -1,84 +1,48 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
-	"smartwatch/internal/packet"
 	"smartwatch/internal/tier"
-	"smartwatch/internal/trace"
 )
 
-// runDump runs a fresh platform over the standard mixed workload and
-// flattens everything observable — report, alerts, flow log — into one
-// string.
-func runDump(cfg Config) string {
-	pl := New(cfg)
-	rep := pl.Run(mixedStream())
-	return canonicalDump(pl, rep) + kvDump(pl)
-}
-
-// TestBatchedDriveMatchesPerPacket is the tentpole's acceptance gate:
-// every BatchSize × Shards combination must reproduce the per-packet
-// drive byte for byte — report, alert sequence and flow log — on the
-// full platform (switch + detectors + intervals). The stream length
-// (~800k packets) does not divide any of the batch sizes, so every run
+// TestBatchedDriveMatchesPerPacket: at Shards=4 every BatchSize must
+// reproduce the golden digests recorded from the per-packet drive —
+// report, alert sequence and flow log — on the full platform (switch +
+// detectors + intervals) and on the standalone one. The stream length
+// (~800k packets) divides none of the batch sizes, so every run
 // exercises an odd tail.
 func TestBatchedDriveMatchesPerPacket(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-platform sweep; covered per-component in -short runs")
 	}
-	for _, shards := range []int{1, 4} {
-		base := New(fullConfig(false, shards))
-		baseRep := base.Run(mixedStream())
-		want := canonicalDump(base, baseRep) + kvDump(base)
-
-		// The trace must actually exercise the mid-batch control-feedback
-		// hazard: detector blacklists rewrite switch tables between two
-		// packets that can share a vector. Otherwise this test would pass
-		// even with an (incorrect) pre-steering batch drive.
-		if baseRep.Events.PublishedFor(tier.KindBlacklist) == 0 {
-			t.Fatal("workload published no blacklist events; hazard not exercised, goldens vacuous")
-		}
-		if baseRep.Counts.DroppedAtSwitch == 0 {
-			t.Fatal("no switch drops; blacklist feedback not observable")
-		}
-
-		for _, batch := range []int{7, 64, 256} {
-			cfg := fullConfig(false, shards)
-			cfg.BatchSize = batch
-			if got := runDump(cfg); got != want {
-				t.Errorf("shards=%d batch=%d diverged from per-packet drive:\n%s",
-					shards, batch, firstDiffLine(want, got))
-			}
-		}
+	rep := checkGolden(t, "mixed/switch/shards4", goldenBatches...)
+	// The trace must actually exercise the mid-batch control-feedback
+	// hazard: detector blacklists rewrite switch tables between two
+	// packets that can share a vector. Otherwise this test would pass
+	// even with an (incorrect) pre-steering batch drive.
+	if rep.Events.PublishedFor(tier.KindBlacklist) == 0 {
+		t.Fatal("workload published no blacklist events; hazard not exercised, goldens vacuous")
 	}
+	if rep.Counts.DroppedAtSwitch == 0 {
+		t.Fatal("no switch drops; blacklist feedback not observable")
+	}
+	checkGolden(t, "mixed/noswitch/shards4", goldenBatches...)
 }
 
-// TestBatchedDriveMatchesLegacyOracle pins the batch path against the
-// pre-tier monolithic wiring at shards=1 — the strongest oracle in the
-// repo: per-packet legacy handler vs vectored tier drive.
+// TestBatchedDriveMatchesLegacyOracle pins the vectored drive at Shards=1
+// against the golden digest recorded from the pre-tier monolithic wiring
+// — the strongest oracle in the repo. (BatchSize 1 is
+// TestTierPipelineMatchesLegacy.)
 func TestBatchedDriveMatchesLegacyOracle(t *testing.T) {
-	want := runDump(fullConfig(true, 1))
-
-	cfg := fullConfig(false, 1)
-	cfg.BatchSize = 64
-	if got := runDump(cfg); got != want {
-		t.Errorf("batched drive diverged from legacy oracle:\n%s", firstDiffLine(want, got))
-	}
+	checkGolden(t, "mixed/switch/shards1", 7, 64, 256)
 }
 
 // TestBatchedDriveNoSwitch covers the ingest-only wire pipeline, where
 // the whole vector runs through tier.Pipeline.ProcessBatch.
 func TestBatchedDriveNoSwitch(t *testing.T) {
-	base := Config{IntervalNs: 20e6, Detectors: detectorSet()}
-	want := runDump(base)
-
-	for _, batch := range []int{7, 256} {
-		cfg := Config{IntervalNs: 20e6, Detectors: detectorSet(), BatchSize: batch}
-		if got := runDump(cfg); got != want {
-			t.Errorf("no-switch batch=%d diverged:\n%s", batch, firstDiffLine(want, got))
-		}
-	}
+	checkGolden(t, "mixed/noswitch/shards1", 7, 64, 256)
 }
 
 // TestBatchedDriveOddTail drives stream lengths around the batch size so
@@ -86,32 +50,20 @@ func TestBatchedDriveNoSwitch(t *testing.T) {
 // tail off-by-ones — on a timer-heavy config (interval = 1/20 of the
 // trace) so sub-batch splitting hits the tail too.
 func TestBatchedDriveOddTail(t *testing.T) {
-	mk := func(n int) packet.Stream {
-		w := trace.NewWorkload(trace.WorkloadConfig{Seed: 7, Flows: 50, PacketRate: 1e6, Duration: 1e9})
-		return packet.Limit(w.Stream(), int64(n))
-	}
 	for _, n := range []int{1, 63, 64, 65, 1000} {
-		ref := New(Config{IntervalNs: 50e6, Detectors: detectorSet()})
-		refRep := ref.Run(mk(n))
-		want := canonicalDump(ref, refRep) + kvDump(ref)
-		if refRep.Counts.Total != uint64(n) {
-			t.Fatalf("n=%d: reference saw %d packets", n, refRep.Counts.Total)
-		}
-
-		pl := New(Config{IntervalNs: 50e6, Detectors: detectorSet(), BatchSize: 64})
-		rep := pl.Run(mk(n))
-		got := canonicalDump(pl, rep) + kvDump(pl)
-		if got != want {
-			t.Errorf("n=%d diverged on odd tail:\n%s", n, firstDiffLine(want, got))
+		name := fmt.Sprintf("tail/%d", n)
+		rep := checkGolden(t, name, goldenBatches...)
+		if rep.Counts.Total != uint64(n) {
+			t.Fatalf("%s: drive saw %d packets", name, rep.Counts.Total)
 		}
 	}
 }
 
-// TestBatchSizeOneIsPerPacketDrive: BatchSize ∈ {0, 1} must select the
-// original per-packet drive (the batched filter never engages).
+// TestBatchSizeOneIsPerPacketDrive: BatchSize ∈ {0, 1} normalises to 1,
+// so the drive runs on one-packet vectors.
 func TestBatchSizeOneIsPerPacketDrive(t *testing.T) {
 	for _, b := range []int{0, 1} {
-		cfg := fullConfig(false, 1)
+		cfg := fullConfig(1)
 		cfg.BatchSize = b
 		pl := New(cfg)
 		if pl.cfg.BatchSize != 1 {

@@ -34,20 +34,20 @@ func detectorSet() []detect.Detector {
 	}
 }
 
-func fullConfig(legacy bool, shards int) Config {
+func fullConfig(shards int) Config {
 	return Config{
-		EnableSwitch:   true,
-		Queries:        sshQueries(),
-		IntervalNs:     20e6,
-		Detectors:      detectorSet(),
-		Shards:         shards,
-		LegacyPipeline: legacy,
+		EnableSwitch: true,
+		Queries:      sshQueries(),
+		IntervalNs:   20e6,
+		Detectors:    detectorSet(),
+		Shards:       shards,
 	}
 }
 
 // canonicalDump flattens everything externally observable about a run —
-// Report fields (except Events, which the legacy path never populates),
-// alert sequence and the whole flow log — into one comparable string.
+// Report fields (except Events, which the pre-tier wiring the golden
+// digests were recorded from never populated), alert sequence and the
+// whole flow log — into one comparable string.
 func canonicalDump(pl *Platform, rep Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "counts %+v\n", rep.Counts)
@@ -81,45 +81,22 @@ func kvDump(pl *Platform) string {
 	return b.String()
 }
 
-// TestTierPipelineMatchesLegacy is the PR's acceptance gate: at Shards=1
-// the tier pipeline (stages + event bus) must reproduce the monolithic
-// wiring byte-for-byte — report, alert sequence and flow log.
+// TestTierPipelineMatchesLegacy: at Shards=1 and the default BatchSize
+// the tier pipeline (stages + event bus) must reproduce the golden digest
+// recorded from the pre-tier monolithic wiring — report, alert sequence
+// and flow log.
 func TestTierPipelineMatchesLegacy(t *testing.T) {
-	legacy := New(fullConfig(true, 1))
-	legacyRep := legacy.Run(mixedStream())
-
-	tiered := New(fullConfig(false, 1))
-	tieredRep := tiered.Run(mixedStream())
-
-	wantDump := canonicalDump(legacy, legacyRep) + kvDump(legacy)
-	gotDump := canonicalDump(tiered, tieredRep) + kvDump(tiered)
-	if gotDump != wantDump {
-		t.Errorf("tier pipeline diverged from legacy:\n%s", firstDiffLine(wantDump, gotDump))
-	}
-	// The tiered run must actually have used the bus.
-	if tieredRep.Events.PublishedFor(tier.KindInterval) == 0 {
-		t.Error("tiered run published no interval events; bus is not wired")
-	}
-	if legacyRep.Events.Delivered != 0 {
-		t.Error("legacy run touched the bus")
+	rep := checkGolden(t, "mixed/switch/shards1", 1)
+	// The run must actually have used the bus.
+	if rep.Events.PublishedFor(tier.KindInterval) == 0 {
+		t.Error("run published no interval events; bus is not wired")
 	}
 }
 
 // TestTierPipelineNoSwitchMatchesLegacy covers the standalone deployment
 // (no P4 switch): only ingest + datapath + host stages run.
 func TestTierPipelineNoSwitchMatchesLegacy(t *testing.T) {
-	// Detectors are stateful: each platform gets its own fresh set.
-	legacy := New(Config{IntervalNs: 20e6, Detectors: detectorSet(), LegacyPipeline: true})
-	legacyRep := legacy.Run(mixedStream())
-
-	tiered := New(Config{IntervalNs: 20e6, Detectors: detectorSet()})
-	tieredRep := tiered.Run(mixedStream())
-
-	wantDump := canonicalDump(legacy, legacyRep) + kvDump(legacy)
-	gotDump := canonicalDump(tiered, tieredRep) + kvDump(tiered)
-	if gotDump != wantDump {
-		t.Errorf("no-switch tier pipeline diverged from legacy:\n%s", firstDiffLine(wantDump, gotDump))
-	}
+	checkGolden(t, "mixed/noswitch/shards1", 1)
 }
 
 // TestShardedPlatformDetectorSuite: at Shards=4 exact placement differs
@@ -127,7 +104,7 @@ func TestTierPipelineNoSwitchMatchesLegacy(t *testing.T) {
 // and the detectors must still catch the attack.
 func TestShardedPlatformDetectorSuite(t *testing.T) {
 	det := detect.NewBruteForce(detect.BruteForceConfig{Service: 22, Psi: 3})
-	cfg := fullConfig(false, 4)
+	cfg := fullConfig(4)
 	cfg.Detectors = []detect.Detector{det}
 	pl := New(cfg)
 	if n := pl.Cache().NumShards(); n != 4 {
@@ -190,8 +167,8 @@ func firstDiffLine(want, got string) string {
 	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
 	for i := 0; i < len(w) && i < len(g); i++ {
 		if w[i] != g[i] {
-			return fmt.Sprintf("line %d:\n  legacy %q\n  tiered %q", i, w[i], g[i])
+			return fmt.Sprintf("line %d:\n  want %q\n  got  %q", i, w[i], g[i])
 		}
 	}
-	return fmt.Sprintf("lengths differ: legacy %d lines, tiered %d", len(w), len(g))
+	return fmt.Sprintf("lengths differ: want %d lines, got %d", len(w), len(g))
 }

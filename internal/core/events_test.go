@@ -18,7 +18,7 @@ func wlKey() packet.FlowKey {
 // target.
 func seedRecord(pl *Platform, k packet.FlowKey) {
 	p := packet.Packet{Tuple: k.Tuple(), Size: 64}
-	pl.Cache().Process(&p)
+	insertRecord(pl, &p)
 	pl.Cache().Pin(k)
 }
 
@@ -26,50 +26,39 @@ func seedRecord(pl *Platform, k packet.FlowKey) {
 // installed, cache record unpinned, in that order — must reproduce when
 // the request travels the bus instead of direct calls.
 func TestWhitelistEventGolden(t *testing.T) {
-	legacy := New(Config{EnableSwitch: true, Queries: sshQueries(), LegacyPipeline: true})
-	tiered := New(Config{EnableSwitch: true, Queries: sshQueries()})
+	pl := New(Config{EnableSwitch: true, Queries: sshQueries()})
 	k := wlKey()
-	for _, pl := range []*Platform{legacy, tiered} {
-		seedRecord(pl, k)
-		pl.Whitelist(k)
-	}
+	seedRecord(pl, k)
+	pl.Whitelist(k)
 
-	for name, pl := range map[string]*Platform{"legacy": legacy, "tiered": tiered} {
-		if got := pl.Switch().WhitelistCount(); got != 1 {
-			t.Errorf("%s: whitelist count = %d, want 1", name, got)
-		}
-		rec, ok := pl.Cache().Lookup(k)
-		if !ok || rec.Pinned {
-			t.Errorf("%s: record still pinned after whitelist (ok=%v)", name, ok)
-		}
+	if got := pl.Switch().WhitelistCount(); got != 1 {
+		t.Errorf("whitelist count = %d, want 1", got)
 	}
-	// Only the tiered platform used the bus, and with the right fanout.
-	if got := tiered.Bus().Stats().PublishedFor(tier.KindWhitelist); got != 1 {
-		t.Errorf("tiered whitelist events = %d, want 1", got)
+	rec, ok := pl.Cache().Lookup(k)
+	if !ok || rec.Pinned {
+		t.Errorf("record still pinned after whitelist (ok=%v)", ok)
 	}
-	if got := legacy.Bus().Stats().Delivered; got != 0 {
-		t.Errorf("legacy platform delivered %d bus events, want 0", got)
+	if got := pl.Bus().Stats().PublishedFor(tier.KindWhitelist); got != 1 {
+		t.Errorf("whitelist events = %d, want 1", got)
 	}
-	// Delivery order is the legacy call order: switch first, then unpin.
-	subs := tiered.Bus().Subscribers(tier.KindWhitelist)
+	// Delivery order is the pre-tier call order: switch first, then unpin.
+	subs := pl.Bus().Subscribers(tier.KindWhitelist)
 	if len(subs) != 2 || subs[0] != "switch-program" || subs[1] != "cache-unpin" {
 		t.Errorf("whitelist subscriber order = %v", subs)
 	}
 }
 
-// TestBlacklistEventGolden: blacklist via the bus installs the same
-// switch drop rule as the direct call.
+// TestBlacklistEventGolden: blacklist via the bus installs the switch
+// drop rule the direct call used to.
 func TestBlacklistEventGolden(t *testing.T) {
-	legacy := New(Config{EnableSwitch: true, Queries: sshQueries(), LegacyPipeline: true})
-	tiered := New(Config{EnableSwitch: true, Queries: sshQueries()})
+	pl := New(Config{EnableSwitch: true, Queries: sshQueries()})
 	a := packet.MustParseAddr("203.0.113.9")
-	legacy.Blacklist(a)
-	tiered.Blacklist(a)
-	if !legacy.Switch().Blacklisted(a) || !tiered.Switch().Blacklisted(a) {
-		t.Error("blacklist did not reach the switch on both paths")
+	pl.Blacklist(a)
+	if !pl.Switch().Blacklisted(a) {
+		t.Error("blacklist did not reach the switch")
 	}
-	if got := tiered.Bus().Stats().PublishedFor(tier.KindBlacklist); got != 1 {
-		t.Errorf("tiered blacklist events = %d, want 1", got)
+	if got := pl.Bus().Stats().PublishedFor(tier.KindBlacklist); got != 1 {
+		t.Errorf("blacklist events = %d, want 1", got)
 	}
 }
 

@@ -71,7 +71,7 @@ func TestRingOverflowSurfacesEndToEnd(t *testing.T) {
 // JSON-lines plus the final snapshot.
 func runWithMetrics(shards, batch int) ([]byte, *obs.Snapshot) {
 	var buf bytes.Buffer
-	cfg := fullConfig(false, shards)
+	cfg := fullConfig(shards)
 	cfg.BatchSize = batch
 	cfg.Metrics = obs.NewRegistry()
 	cfg.MetricsWriter = &buf
@@ -157,7 +157,7 @@ func TestMetricsSnapshotsDeterministic(t *testing.T) {
 // TestMetricsDisabledReportHasNoTree: the nil-registry run must leave
 // Report.Metrics nil and behave identically to an unconfigured platform.
 func TestMetricsDisabledReportHasNoTree(t *testing.T) {
-	pl := New(fullConfig(false, 1))
+	pl := New(fullConfig(1))
 	rep := pl.Run(mixedStream())
 	if rep.Metrics != nil {
 		t.Error("Report.Metrics non-nil with metrics disabled")
@@ -171,7 +171,7 @@ func TestMetricsDisabledReportHasNoTree(t *testing.T) {
 // authoritative Report fields.
 func TestMetricsMatchReport(t *testing.T) {
 	reg := obs.NewRegistry()
-	cfg := fullConfig(false, 1)
+	cfg := fullConfig(1)
 	cfg.Metrics = reg
 	pl := New(cfg)
 	rep := pl.Run(mixedStream())

@@ -10,16 +10,14 @@
 // datapath → host inside the sNIC simulation) and every cross-tier
 // control action is a typed event on a tier.Bus — the switch and the host
 // subscribe to the kinds they serve instead of being called directly from
-// detector code. Config.LegacyPipeline keeps the old monolithic wiring
-// (legacy.go) alive as a determinism oracle: at Shards=1 both paths must
-// produce byte-identical reports, which TestTierPipelineMatchesLegacy
-// checks.
+// detector code. The observable output of the pre-tier monolithic wiring
+// is frozen as committed golden digests (testdata/drive_golden.txt); the
+// drive must reproduce them at every BatchSize (golden_test.go).
 package core
 
 import (
 	"io"
 	"iter"
-	"sync"
 	"sync/atomic"
 
 	"smartwatch/internal/container"
@@ -80,34 +78,16 @@ type Config struct {
 	Detectors []detect.Detector
 	// KVLog optionally persists interval flushes (see host.NewKVStore).
 	KVLog *host.KVStore
-	// LegacyPipeline routes packets through the pre-tier monolithic
-	// handler instead of the stage pipeline. It exists as a determinism
-	// oracle for tests and will be removed once the pipeline has soaked.
-	LegacyPipeline bool
 	// BatchSize drains ingest in vectors of this many packets (DESIGN.md
 	// §9): the drive pre-computes flow hashes per vector, amortises the
 	// platform counters and FlowCache stat updates across it, and splits
 	// it at every timer boundary so batching never reorders control-plane
-	// work relative to the per-packet drive — reports stay byte-identical.
-	// 0 or 1 keeps the per-packet drive; LegacyPipeline ignores it (the
-	// oracle stays exactly as it was).
+	// work relative to per-packet processing — reports stay byte-identical
+	// at every size. 0 or 1 runs the same drive on 1-wide vectors.
 	BatchSize int
-	// Pipelined overlaps the tiers of the batched drive across chunks
-	// (DESIGN.md §13): a persistent prep worker computes the NEXT chunk's
-	// pure flow-identity work (context reset, canonical key, flow hash)
-	// while the drive goroutine runs the CURRENT chunk's stateful
-	// ingest/steer/sNIC work, with a barrier draining the overlap before
-	// Session Exec closures, interval timer edges and mode-switch bus
-	// events. Reports and state stay byte-identical to the sequential
-	// batched drive at every Shards×BatchSize. Requires BatchSize > 1
-	// (there is no chunk to overlap otherwise — the flag is then inert)
-	// and the tier pipeline (ignored under LegacyPipeline).
-	Pipelined bool
 	// Metrics, when set, instruments every tier into this registry and
 	// snapshots it at each interval close (DESIGN.md §10). nil disables
 	// metrics entirely — the hot paths then pay only nil-check branches.
-	// Requires the tier pipeline (ignored under LegacyPipeline, which
-	// bypasses the bus the emitter rides on).
 	Metrics *obs.Registry
 	// MetricsWriter, when set alongside Metrics, receives one JSON-lines
 	// snapshot per monitoring interval plus the final end-of-run snapshot.
@@ -137,20 +117,18 @@ type Platform struct {
 	// rewrite mid-stream; see batch.go).
 	ingest *ingestStage
 	steer  tier.Stage
-	// wireCtx / nicCtx are reused across packets (one driving goroutine
-	// each), keeping the hot path allocation-free.
-	wireCtx tier.Context
-	nicCtx  tier.Context
+	// nicCtx is reused across packets (one driving goroutine), keeping the
+	// hot path allocation-free.
+	nicCtx tier.Context
 
-	// batchAcc absorbs FlowCache stat deltas on the batched drive; pendKey
-	// et al. hand the pre-computed flow identity of the packet just
+	// batchAcc absorbs FlowCache stat deltas on the drive; pendHash and
+	// pendKey hand the pre-computed flow identity of the packet just
 	// yielded into the engine across to tierHandler (the engine calls the
-	// handler synchronously inside the pull, at most once per yield, so
-	// the pending identity can never pair with the wrong packet).
-	batchAcc  flowcache.BatchAcc
-	pendHash  uint64
-	pendKey   packet.FlowKey
-	pendValid bool
+	// handler synchronously inside the pull, once per yield, so the
+	// pending identity can never pair with the wrong packet).
+	batchAcc flowcache.BatchAcc
+	pendHash uint64
+	pendKey  packet.FlowKey
 
 	nextInterval int64
 	nextTick     int64
@@ -169,22 +147,6 @@ type Platform struct {
 	// (session.go); Run is itself a session internally.
 	session     *Session
 	sessionBusy atomic.Bool
-	// releaseMu serialises concurrent ReleaseWorkers calls: Session.Close
-	// and a -serve SIGTERM drain may both reach the release path at once,
-	// and the prep-channel close plus the shard pool teardown are not
-	// individually reentrant (see pipeline.go).
-	releaseMu sync.Mutex
-
-	// prepReq / prepDone / prepRunning are the pipelined drive's
-	// persistent identity-prefetch worker (pipeline.go); prepChunks and
-	// overlapBarriers are its observability counters (atomics only
-	// because the -expvar observer may snapshot concurrently — all
-	// writes happen on the drive goroutine).
-	prepReq         chan prepReq
-	prepDone        chan struct{}
-	prepRunning     bool
-	prepChunks      atomic.Uint64
-	overlapBarriers atomic.Uint64
 }
 
 // Counts aggregates platform-level packet accounting.
@@ -256,10 +218,9 @@ func New(cfg Config) *Platform {
 	pl.detectors = detect.NewChain(cfg.Detectors...)
 	// Detectors that drive Tick-time control-loop actions (timer unpins,
 	// blacklists) receive the platform as their Hooks — it implements
-	// detect.Hooks against the FlowCache and the switch, through the bus
-	// on the tiered pipeline and directly on the legacy one. Standalone
-	// harnesses that drive detectors without a platform keep whatever
-	// hooks their config installed.
+	// detect.Hooks against the FlowCache and the switch, through the bus.
+	// Standalone harnesses that drive detectors without a platform keep
+	// whatever hooks their config installed.
 	for _, d := range cfg.Detectors {
 		if hd, ok := d.(interface{ SetHooks(detect.Hooks) }); ok {
 			hd.SetHooks(pl)
@@ -281,27 +242,21 @@ func New(cfg Config) *Platform {
 	pl.flusher = &host.Flusher{Store: pl.store, Ports: pl.ports, KV: pl.kv, Rings: pl.cache.Rings()}
 	pl.nextInterval = cfg.IntervalNs
 	pl.nextTick = cfg.TickNs
-	handler := pl.tierHandler
-	if cfg.LegacyPipeline {
-		handler = pl.legacyHandler
-	}
 	// The engine lives as long as the platform: sequential drives continue
 	// from its thread-heap/dispatch state exactly as they continue from the
 	// FlowCache, so a trace split across segments reproduces the one-shot
 	// drive (TestSegmentedRunMatchesOneShot).
-	pl.engine = snic.New(cfg.SNIC, handler)
-	if !cfg.LegacyPipeline {
-		pl.wireBus()
-		pl.buildPipelines()
-		if cfg.Metrics != nil {
-			pl.instrumentMetrics()
-		}
+	pl.engine = snic.New(cfg.SNIC, pl.tierHandler)
+	pl.wireBus()
+	pl.buildPipelines()
+	if cfg.Metrics != nil {
+		pl.instrumentMetrics()
 	}
 	return pl
 }
 
 // wireBus subscribes the tiers to the control-plane kinds they serve.
-// Subscription order is delivery order, and it reproduces the legacy
+// Subscription order is delivery order, and it reproduces the pre-tier
 // call order exactly: whitelist programs the switch before releasing the
 // pin; an interval steers at the switch before the host flushes.
 func (pl *Platform) wireBus() {
@@ -364,12 +319,9 @@ func (pl *Platform) Ports() *host.Ports { return pl.ports }
 // Shards=1).
 func (pl *Platform) Controller() *flowcache.Controller { return pl.cache.Controller() }
 
-// PipelineNames reports the assembled stage order (empty under
-// LegacyPipeline) — wire side first, then the sNIC side.
+// PipelineNames reports the assembled stage order — wire side first,
+// then the sNIC side.
 func (pl *Platform) PipelineNames() []string {
-	if pl.wire == nil {
-		return nil
-	}
 	return append(pl.wire.Names(), pl.nic.Names()...)
 }
 
@@ -377,29 +329,17 @@ func (pl *Platform) PipelineNames() []string {
 
 // Unpin implements detect.Hooks.
 func (pl *Platform) Unpin(k packet.FlowKey) {
-	if pl.cfg.LegacyPipeline {
-		pl.cache.Unpin(k)
-		return
-	}
 	pl.bus.Publish(tier.UnpinEvent{Key: k, Origin: "hooks"})
 }
 
 // Whitelist implements detect.Hooks: benign flows bypass steering at the
 // switch and release their sNIC pin.
 func (pl *Platform) Whitelist(k packet.FlowKey) {
-	if pl.cfg.LegacyPipeline {
-		pl.legacyWhitelist(k)
-		return
-	}
 	pl.bus.Publish(tier.WhitelistEvent{Key: k, Origin: "hooks"})
 }
 
 // Blacklist implements detect.Hooks.
 func (pl *Platform) Blacklist(a packet.Addr) {
-	if pl.cfg.LegacyPipeline {
-		pl.legacyBlacklist(a)
-		return
-	}
 	pl.bus.Publish(tier.BlacklistEvent{Addr: a, Origin: "hooks"})
 }
 
@@ -428,19 +368,11 @@ func (pl *Platform) maybeTick(ts int64) {
 	}
 }
 
-// endInterval is the control-loop heartbeat. On the tier pipeline it is
-// one published event; the switch (steer fired subsets) and the host
-// (drain rings, advance NF timers, flush the flow log) subscribe in that
-// order.
+// endInterval is the control-loop heartbeat: one published event; the
+// switch (steer fired subsets) and the host (drain rings, advance NF
+// timers, flush the flow log) subscribe in that order.
 func (pl *Platform) endInterval(ts int64) {
 	seq := pl.counts.intervals.Add(1)
-	if pl.cfg.LegacyPipeline {
-		pl.legacyEndInterval(ts)
-		if pl.session != nil {
-			pl.session.captureSnapshot(ts, seq)
-		}
-		return
-	}
 	pl.bus.Publish(tier.IntervalEvent{Ts: ts, Seq: seq})
 	// Capture the session's live delta snapshot after every interval
 	// subscriber (switch steer, host flush, metrics emit) has run, still on
@@ -458,12 +390,8 @@ type ingestStage struct{ pl *Platform }
 func (s *ingestStage) Name() string { return "ingest" }
 
 func (s *ingestStage) Handle(ctx *tier.Context) {
-	// Tick BEFORE counting: an interval closing at this packet's timestamp
-	// must snapshot the counts exactly as the batched drive leaves them
-	// (it ticks at the sub-batch head, before folding the vector's total),
-	// keeping interval metric snapshots byte-identical across batch sizes.
-	// Nothing inside the tick path reads the counter, so the swap changes
-	// no other observable.
+	// Tick BEFORE counting, as ProcessBatch does: an interval closing at
+	// this packet's timestamp must snapshot the counts without it.
 	s.pl.maybeTick(ctx.Pkt.Ts)
 	s.pl.counts.total.Add(1)
 }
@@ -493,20 +421,10 @@ func (s *datapathStage) Name() string { return "datapath" }
 func (s *datapathStage) Handle(ctx *tier.Context) {
 	pl := s.pl
 	p := ctx.Pkt
-	var (
-		rec *flowcache.Record
-		res flowcache.Result
-		k   packet.FlowKey
-	)
-	if ctx.HasFlowID {
-		// Batched drive: hash/key were pre-computed for the whole vector
-		// and stat deltas accumulate in batchAcc (flushed per sub-batch).
-		k = ctx.Key
-		rec, res = pl.cache.ObserveProcessHashed(p, ctx.Hash, k, &pl.batchAcc)
-	} else {
-		k = p.Key()
-		rec, res = pl.cache.ObserveProcess(p)
-	}
+	// The drive pre-computed hash/key for the whole vector; stat deltas
+	// accumulate in batchAcc (flushed per sub-batch).
+	k := ctx.Key
+	rec, res := pl.cache.ObserveProcessHashed(p, ctx.Hash, k, &pl.batchAcc)
 	ctx.Rec, ctx.Res = rec, res
 	if rec == nil && res.Outcome == flowcache.HostPunt {
 		// No sNIC record possible: the host takes the packet whole.
@@ -541,12 +459,9 @@ func (pl *Platform) tierHandler(p *packet.Packet, sctx snic.Ctx) snic.Cost {
 	ctx := &pl.nicCtx
 	ctx.Reset(p)
 	ctx.SNIC = sctx
-	if pl.pendValid {
-		// The batched drive parked this packet's pre-computed flow
-		// identity just before yielding it into the engine.
-		ctx.Hash, ctx.Key, ctx.HasFlowID = pl.pendHash, pl.pendKey, true
-		pl.pendValid = false
-	}
+	// The drive parked this packet's pre-computed flow identity just
+	// before yielding it into the engine.
+	ctx.Hash, ctx.Key, ctx.HasFlowID = pl.pendHash, pl.pendKey, true
 	pl.nic.Process(ctx)
 	if ctx.HostDeliveries > 0 {
 		pl.counts.toHost.Add(uint64(ctx.HostDeliveries))
@@ -569,8 +484,7 @@ type Report struct {
 	HostCPUNs float64
 	// Switchovers counts FlowCache mode flips (summed across shards).
 	Switchovers uint64
-	// Events summarises control-plane bus traffic (zero under
-	// LegacyPipeline, which bypasses the bus).
+	// Events summarises control-plane bus traffic.
 	Events tier.BusStats
 	// Rings is the per-ring eviction-ring breakdown (depth at run end +
 	// cumulative overflow drops); Cache.RingDrops is its drop total.
@@ -610,47 +524,15 @@ func (pl *Platform) Run(s packet.Stream) Report {
 	return rep
 }
 
-// driveBatches is the drive path shared by Run and Session: it feeds the
-// ingested vectors through the configured filter chain into the sNIC
-// engine and performs the end-of-drive tail (accumulator flush, final
-// interval close, lossless flow-log flush, report assembly). It runs
-// entirely on the session's drive goroutine.
+// driveBatches is the drive shared by Run and Session: it re-chunks the
+// ingested vectors to BatchSize, feeds them through the batched filter
+// (batch.go) into the sNIC engine and performs the end-of-drive tail
+// (accumulator flush, final interval close, lossless flow-log flush,
+// report assembly). It runs entirely on the session's drive goroutine.
 func (pl *Platform) driveBatches(vecs iter.Seq[[]packet.Packet]) Report {
-	var filtered packet.Stream
-	switch {
-	case pl.cfg.LegacyPipeline:
-		filtered = pl.legacyFilter(flatten(vecs))
-	case pl.cfg.Pipelined && pl.cfg.BatchSize > 1:
-		// Tier-overlapped drive: chunk N+1's identity prep runs on the
-		// prep worker while chunk N's stateful work runs here
-		// (pipeline.go). Re-chunks internally.
-		filtered = pl.pipelinedFilter(vecs)
-	case pl.cfg.BatchSize > 1:
-		filtered = pl.batchedFilter(rechunk(vecs, pl.cfg.BatchSize))
-	default:
-		s := flatten(vecs)
-		filtered = func(yield func(packet.Packet) bool) {
-			ctx := &pl.wireCtx
-			for p := range s {
-				ctx.Reset(&p)
-				switch pl.wire.Process(ctx) {
-				case tier.ForwardDirect:
-					pl.counts.forwardedDirect.Add(1)
-					continue
-				case tier.DropAtSwitch:
-					pl.counts.droppedAtSwitch.Add(1)
-					continue
-				}
-				pl.counts.toSNIC.Add(1)
-				if !yield(p) {
-					return
-				}
-			}
-		}
-	}
-	rep := pl.engine.Run(filtered)
-	// The batched drive flushes its accumulator at every sub-batch end;
-	// this covers an engine that stopped pulling mid-vector.
+	rep := pl.engine.Run(pl.batchedFilter(rechunk(vecs, pl.cfg.BatchSize)))
+	// The filter flushes its accumulator at every sub-batch end; this
+	// covers an engine that stopped pulling mid-vector.
 	pl.cache.FlushAcc(&pl.batchAcc)
 	// Final interval close, then the lossless flow-log flush: every record
 	// still resident in the FlowCache is exported exactly once, so evicted

@@ -21,6 +21,13 @@ func sshQueries() []p4switch.Query {
 	}}
 }
 
+// insertRecord runs p through its owning FlowCache shard directly (no
+// controller observe), seeding a record outside any drive.
+func insertRecord(pl *Platform, p *packet.Packet) {
+	c := pl.Cache()
+	c.Shard(c.ShardOf(p.Key().Hash())).Process(p)
+}
+
 func TestPlatformStandaloneRunsAllTraffic(t *testing.T) {
 	pl := New(Config{IntervalNs: 50e6})
 	w := trace.NewWorkload(trace.WorkloadConfig{Seed: 1, Flows: 200, PacketRate: 1e6, Duration: 2e8})
@@ -108,7 +115,7 @@ func TestPlatformHooks(t *testing.T) {
 	// Insert a record so pin/unpin have a target.
 	p := k.Tuple()
 	pk := packet.Packet{Tuple: p, Size: 64}
-	pl.Cache().Process(&pk)
+	insertRecord(pl, &pk)
 	pl.Cache().Pin(k)
 	pl.Whitelist(k)
 	if pl.Switch().WhitelistCount() != 1 {
@@ -131,7 +138,7 @@ func TestWhitelistTopK(t *testing.T) {
 		tuple := packet.FiveTuple{SrcIP: packet.Addr(i + 1), DstIP: 99, SrcPort: uint16(i), DstPort: 80, Proto: packet.ProtoTCP}
 		for j := 0; j <= i; j++ {
 			p := packet.Packet{Ts: int64(j), Tuple: tuple, Size: 100}
-			pl.Cache().Process(&p)
+			insertRecord(pl, &p)
 		}
 	}
 	bad := packet.FiveTuple{SrcIP: 19 + 1, DstIP: 99, SrcPort: 19, DstPort: 80, Proto: packet.ProtoTCP}.Canonical()

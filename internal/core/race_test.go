@@ -1,14 +1,15 @@
 package core
 
-// Shard-safety tests: run under -race (`make race`, CI shards job) to
-// validate that platform accounting and control-event publication survive
-// parallel shard workers.
+// Concurrency tests: run under -race (`make race`, CI shards job) to
+// validate that platform accounting survives concurrent writers and that
+// the session lifecycle is safe for concurrent callers.
 
 import (
 	"sync"
 	"testing"
 
 	"smartwatch/internal/packet"
+	"smartwatch/internal/snic"
 	"smartwatch/internal/stats"
 	"smartwatch/internal/tier"
 )
@@ -69,14 +70,13 @@ func burstTrace(n int) []packet.Packet {
 	return pkts
 }
 
-// TestReleaseWorkersConcurrentClose: the -serve double-drain shape —
-// several Session.Close calls (SIGTERM plus /control/drain plus a
-// deferred cleanup) racing each other and a bare Platform.ReleaseWorkers.
-// Every path funnels into ReleaseWorkers, whose releaseMu makes the
-// losers no-ops instead of double-closing the prep channel or tearing
-// the shard pool down twice. Run under -race.
-func TestReleaseWorkersConcurrentClose(t *testing.T) {
-	pl := New(Config{Shards: 2, IntervalNs: 50e6, BatchSize: 64, Pipelined: true})
+// TestSessionConcurrentClose: the -serve double-drain shape — several
+// Session.Close calls (SIGTERM plus /control/drain plus a deferred
+// cleanup) racing each other. Exactly one of them drains; the others wait
+// for that drain and return its result, so every call succeeds and the
+// session ends Done. Run under -race.
+func TestSessionConcurrentClose(t *testing.T) {
+	pl := New(Config{Shards: 2, IntervalNs: 50e6, BatchSize: 64})
 	pkts := burstTrace(4_096)
 	for iter := 0; iter < 50; iter++ {
 		ses := pl.NewSession()
@@ -96,11 +96,6 @@ func TestReleaseWorkersConcurrentClose(t *testing.T) {
 				}
 			}()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pl.ReleaseWorkers()
-		}()
 		wg.Wait()
 		if got := ses.State(); got != SessionDone {
 			t.Fatalf("iter %d: state after concurrent Close = %v, want done", iter, got)
@@ -108,22 +103,22 @@ func TestReleaseWorkersConcurrentClose(t *testing.T) {
 	}
 }
 
-// TestPlatformShardWorkersPublishRace: parallel shard workers process
-// packets while their controllers publish mode-switch events onto the
-// platform bus — the cross-goroutine path the bus mutex exists for.
-func TestPlatformShardWorkersPublishRace(t *testing.T) {
-	pl := New(Config{Shards: 4, IntervalNs: 50e6})
-	var mu sync.Mutex
+// TestPlatformModeSwitchEventsMatchFlips: on a sharded run every per-shard
+// controller flip reaches the platform bus as exactly one mode-switch
+// event.
+func TestPlatformModeSwitchEventsMatchFlips(t *testing.T) {
+	// No input-queue drops: every packet reaches its shard's controller,
+	// so the burst crosses the switchover thresholds.
+	sn := snic.DefaultConfig()
+	sn.QueueDropNs = 1e15
+	pl := New(Config{Shards: 4, IntervalNs: 50e6, SNIC: sn})
 	perShard := map[int]uint64{}
 	pl.Bus().Subscribe(tier.KindModeSwitch, "test-observer", func(e tier.Event) {
-		ev := e.(tier.ModeSwitchEvent)
-		mu.Lock()
-		perShard[ev.Shard]++
-		mu.Unlock()
+		perShard[e.(tier.ModeSwitchEvent).Shard]++
 	})
 	pkts := burstTrace(60_000)
-	if n := pl.Cache().RunParallel(pkts, 0); n != uint64(len(pkts)) {
-		t.Fatalf("processed %d, want %d", n, len(pkts))
+	if rep := pl.Run(packet.StreamOf(pkts)); rep.Counts.Total != uint64(len(pkts)) {
+		t.Fatalf("processed %d, want %d", rep.Counts.Total, len(pkts))
 	}
 	var seen uint64
 	for _, n := range perShard {

@@ -147,8 +147,11 @@ type Session struct {
 	// it unblocks stragglers so no caller can hang on a dead session.
 	finished chan struct{}
 	result   chan Report
+	// drained closes once Drain has stored the final report; concurrent
+	// drainers wait on it instead of failing.
+	drained chan struct{}
 
-	final   Report
+	final Report
 	// driveErr records a recovered drive-goroutine panic; written before
 	// finished closes, read by Drain after the result arrives.
 	driveErr error
@@ -172,6 +175,7 @@ func (pl *Platform) NewSession() *Session {
 		ctl:      make(chan ctlOp),
 		finished: make(chan struct{}),
 		result:   make(chan Report, 1),
+		drained:  make(chan struct{}),
 	}
 }
 
@@ -289,7 +293,10 @@ func (s *Session) Snapshot() *IntervalSnapshot { return s.snap.Load() }
 
 // Drain closes ingestion, waits for the drive to run the final interval
 // close and the lossless flow-log flush, and returns the final Report —
-// the exact tail sequence of the pre-session one-shot Run.
+// the exact tail sequence of the pre-session one-shot Run. A caller that
+// arrives while another Drain is in flight waits for it and returns the
+// same report; once drained, every call returns that report with a nil
+// error (only the first drainer sees a drive failure).
 func (s *Session) Drain() (Report, error) {
 	s.mu.Lock()
 	switch s.state {
@@ -298,7 +305,9 @@ func (s *Session) Drain() (Report, error) {
 		return Report{}, ErrSessionState
 	case SessionDraining:
 		s.mu.Unlock()
-		return Report{}, ErrSessionState
+		<-s.drained
+		rep, _ := s.Report()
+		return rep, nil
 	case SessionDone:
 		rep := s.final
 		s.mu.Unlock()
@@ -321,6 +330,7 @@ func (s *Session) Drain() (Report, error) {
 
 	s.pl.session = nil
 	s.pl.sessionBusy.Store(false)
+	close(s.drained)
 	return rep, err
 }
 
@@ -334,28 +344,21 @@ func (s *Session) Report() (Report, bool) {
 	return s.final, true
 }
 
-// Close tears the session down. A running session is drained first (the
-// final flush still happens — Close is the polite SIGTERM path); a drained
-// or idle session just transitions to Done. Either way the platform's
-// lazily started background workers (prep worker, shard worker pool) are
-// released — a closed session leaves no goroutines behind; they restart
-// lazily if the platform drives again. Idempotent.
+// Close tears the session down. A running or draining session is drained
+// first (the final flush still happens — Close is the polite SIGTERM
+// path); an idle session just transitions to Done. A closed session
+// leaves no goroutines behind. Idempotent and safe for concurrent
+// callers.
 func (s *Session) Close() error {
-	switch s.State() {
-	case SessionRunning:
-		_, err := s.Drain()
-		s.pl.ReleaseWorkers()
-		return err
-	case SessionIdle:
-		s.mu.Lock()
+	s.mu.Lock()
+	if s.state == SessionIdle {
 		s.state = SessionDone
 		s.mu.Unlock()
-		s.pl.ReleaseWorkers()
-		return nil
-	default:
-		s.pl.ReleaseWorkers()
 		return nil
 	}
+	s.mu.Unlock()
+	_, err := s.Drain()
+	return err
 }
 
 // drive is the session's only worker: it feeds the platform's filter

@@ -52,7 +52,7 @@ func TestChunkedIngestMatchesRun(t *testing.T) {
 		for _, batch := range []int{1, 64} {
 			mk := func() (*Platform, *bytes.Buffer) {
 				var buf bytes.Buffer
-				cfg := fullConfig(false, shards)
+				cfg := fullConfig(shards)
 				cfg.BatchSize = batch
 				cfg.Metrics = obs.NewRegistry()
 				cfg.MetricsWriter = &buf
@@ -120,7 +120,7 @@ func TestSegmentedRunMatchesOneShot(t *testing.T) {
 		lat float64
 	}
 	mk := func(sink *[]obsPoint) *Platform {
-		cfg := fullConfig(false, 1)
+		cfg := fullConfig(1)
 		cfg.SNIC = snic.DefaultConfig()
 		cfg.SNIC.Observer = func(p *packet.Packet, latencyNs float64) {
 			*sink = append(*sink, obsPoint{p.Ts, latencyNs})
@@ -299,7 +299,7 @@ func TestSessionLifecycle(t *testing.T) {
 // the drive goroutine and may publish bus events — the operator plane's
 // whitelist install path.
 func TestSessionExecSafePoint(t *testing.T) {
-	cfg := fullConfig(false, 1)
+	cfg := fullConfig(1)
 	pl := New(cfg)
 	ses := pl.NewSession()
 	if err := ses.Start(); err != nil {

@@ -23,7 +23,7 @@ func topkPlatform(t *testing.T, weights []int) (*Platform, []packet.FlowKey) {
 		}
 		for j := 0; j < w; j++ {
 			p := packet.Packet{Ts: int64(j), Tuple: tuple, Size: 64}
-			pl.Cache().Process(&p)
+			insertRecord(pl, &p)
 		}
 	}
 	return pl, keys

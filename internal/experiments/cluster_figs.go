@@ -154,10 +154,6 @@ func ClusterScaling(scale float64) *Table {
 			clusterKVSig([]*core.Platform{single}) == parKV {
 			twinIdentical = "yes"
 		}
-		if err := single.Close(); err != nil {
-			panic(err)
-		}
-
 		var maxLane uint64
 		for _, c := range rep.Steer.PerWorker {
 			if c > maxLane {

@@ -104,7 +104,7 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 	}
 }
 
-// TestProcessAccMatchesProcess: the accumulator path (ProcessAcc +
+// TestProcessAccMatchesProcess: the accumulator path (ProcessHashedAcc +
 // FlushAcc) must produce identical state and stats to Process, with the
 // flush allowed at any point.
 func TestProcessAccMatchesProcess(t *testing.T) {
@@ -122,7 +122,9 @@ func TestProcessAccMatchesProcess(t *testing.T) {
 	var acc BatchAcc
 	for i := range trace {
 		script.apply(got, i, &trace[i])
-		rec, res := got.ProcessAcc(&trace[i], &acc)
+		p := &trace[i]
+		key := p.Key()
+		rec, res := got.ProcessHashedAcc(p, key.Hash(), key, &acc)
 		if res.Outcome == HostPunt && rec != nil {
 			t.Fatalf("packet %d: HostPunt returned a record", i)
 		}
@@ -132,34 +134,7 @@ func TestProcessAccMatchesProcess(t *testing.T) {
 	}
 	got.FlushAcc(&acc)
 	if gotDump := dumpState(plainAdapter{got}); gotDump != want {
-		t.Errorf("ProcessAcc diverged from Process:\n%s", firstDiff(want, gotDump))
-	}
-}
-
-// TestProcessHashedAccRejectsNothing: ProcessHashedAcc with a
-// caller-computed hash/key is the same call as ProcessAcc.
-func TestProcessHashedAccMatchesProcessAcc(t *testing.T) {
-	trace := shardTrace(20_000)
-
-	a := New(smallConfig())
-	var accA BatchAcc
-	for i := range trace {
-		a.ProcessAcc(&trace[i], &accA)
-	}
-	a.FlushAcc(&accA)
-
-	b := New(smallConfig())
-	var accB BatchAcc
-	for i := range trace {
-		p := &trace[i]
-		key := p.Key()
-		b.ProcessHashedAcc(p, key.Hash(), key, &accB)
-	}
-	b.FlushAcc(&accB)
-
-	wantDump, gotDump := dumpState(plainAdapter{a}), dumpState(plainAdapter{b})
-	if wantDump != gotDump {
-		t.Errorf("hashed path diverged:\n%s", firstDiff(wantDump, gotDump))
+		t.Errorf("ProcessHashedAcc diverged from Process:\n%s", firstDiff(want, gotDump))
 	}
 }
 
@@ -173,62 +148,26 @@ func TestFlushAccEmptyIsNoop(t *testing.T) {
 	}
 }
 
-// TestShardedBatchesMatchSequential: RunParallelBatches must land in the
-// exact state of a sequential ObserveProcess loop for every shard count
-// and batch size, including batches that do not divide the stream.
-// Run under -race by `make race` and the CI shards job.
-func TestShardedBatchesMatchSequential(t *testing.T) {
-	cfg := smallConfig()
-	ctlCfg := ControllerConfig{Alpha: 0.75, WindowNs: 1e6, EtaHigh: 30e6, EtaLow: 25e6}
-	trace := shardTrace(60_000)
-
-	for _, shards := range []int{1, 4} {
-		seq := NewSharded(shards, cfg, ctlCfg)
-		for i := range trace {
-			seq.ObserveProcess(&trace[i])
-		}
-		if seq.Switchovers() == 0 {
-			t.Fatal("trace never crossed a switchover threshold; test is vacuous")
-		}
-		want := dumpState(seq)
-
-		for _, batch := range []int{1, 7, 256, len(trace) + 1} {
-			par := NewSharded(shards, cfg, ctlCfg)
-			if n := par.RunParallelBatches(trace, batch); n != uint64(len(trace)) {
-				t.Fatalf("shards=%d batch=%d: processed %d, want %d", shards, batch, n, len(trace))
-			}
-			if got, wantSw := par.Switchovers(), seq.Switchovers(); got != wantSw {
-				t.Errorf("shards=%d batch=%d: switchovers = %d, want %d", shards, batch, got, wantSw)
-			}
-			if got := dumpState(par); got != want {
-				t.Errorf("shards=%d batch=%d diverged from sequential:\n%s",
-					shards, batch, firstDiff(want, got))
-			}
-		}
-	}
-}
-
-// TestObserveProcessHashedMatchesObserveProcess: the batched platform
-// entry point must equal the per-packet one.
+// TestObserveProcessHashedMatchesObserveProcess: the platform's datapath
+// step (pre-hashed, accumulated stats) must equal the per-packet
+// observe-then-Process reference.
 func TestObserveProcessHashedMatchesObserveProcess(t *testing.T) {
 	cfg := smallConfig()
 	ctlCfg := ControllerConfig{Alpha: 0.75, WindowNs: 1e6, EtaHigh: 30e6, EtaLow: 25e6}
 	trace := shardTrace(60_000)
 
 	a := NewSharded(4, cfg, ctlCfg)
-	for i := range trace {
-		a.ObserveProcess(&trace[i])
+	observeProcessRef(a, trace)
+	if a.Switchovers() == 0 {
+		t.Fatal("trace never crossed a switchover threshold; test is vacuous")
 	}
 
 	b := NewSharded(4, cfg, ctlCfg)
-	var acc BatchAcc
-	for i := range trace {
-		p := &trace[i]
-		key := p.Key()
-		b.ObserveProcessHashed(p, key.Hash(), key, &acc)
-	}
-	b.FlushAcc(&acc)
+	observeAll(b, trace)
 
+	if got, want := b.Switchovers(), a.Switchovers(); got != want {
+		t.Errorf("switchovers = %d, want %d", got, want)
+	}
 	wantDump, gotDump := dumpState(a), dumpState(b)
 	if wantDump != gotDump {
 		t.Errorf("ObserveProcessHashed diverged:\n%s", firstDiff(wantDump, gotDump))

@@ -182,17 +182,6 @@ func (c *Cache) Process(p *packet.Packet) (*Record, Result) {
 	return rec, res
 }
 
-// ProcessHashed is Process with the hash/key computed by the caller:
-// identical per-packet atomic stat accounting, no second canonicalisation.
-// The sharded per-packet datapath uses it to hash each packet exactly once
-// (the shard router already needed the hash for shard selection).
-func (c *Cache) ProcessHashed(p *packet.Packet, hash uint64, key packet.FlowKey) (*Record, Result) {
-	res := Result{}
-	rec := c.processHashed(p, hash, key, &res)
-	c.applyStats(hash, &res)
-	return rec, res
-}
-
 // ProcessHashedAcc is Process with the hash/key computed by the caller
 // (the batch paths pre-hash whole vectors) and the stat-counter updates
 // deferred into acc instead of hitting the atomic shards per packet. The
@@ -203,13 +192,6 @@ func (c *Cache) ProcessHashedAcc(p *packet.Packet, hash uint64, key packet.FlowK
 	rec := c.processHashed(p, hash, key, &res)
 	acc.add(&res)
 	return rec, res
-}
-
-// ProcessAcc is ProcessHashedAcc with the hash/key computed here — the
-// per-packet entry point for drivers that batch only the stat flush.
-func (c *Cache) ProcessAcc(p *packet.Packet, acc *BatchAcc) (*Record, Result) {
-	key := p.Key()
-	return c.ProcessHashedAcc(p, key.Hash(), key, acc)
 }
 
 // processHashed is the Fig.-4a update proper: everything Process does

@@ -306,9 +306,9 @@ func adaptiveStream(n int) []packet.Packet {
 }
 
 // TestAdaptiveDeterminism: the adaptive trajectory — cache end state AND
-// controller tuned state, per shard — must be byte-identical across the
-// sequential drive, RunParallel, and RunParallelBatches at different
-// batch sizes.
+// controller tuned state, per shard — must be byte-identical between the
+// per-packet observe-then-Process reference and the platform's datapath
+// step (ObserveProcessHashed with accumulated stats).
 func TestAdaptiveDeterminism(t *testing.T) {
 	type result struct {
 		sigs   []uint64
@@ -327,11 +327,7 @@ func TestAdaptiveDeterminism(t *testing.T) {
 		r.flips = s.Switchovers()
 		return r
 	}
-	ref := run(func(s *Sharded, pkts []packet.Packet) {
-		for i := range pkts {
-			s.ObserveProcess(&pkts[i])
-		}
-	})
+	ref := run(observeProcessRef)
 	if ref.flips == 0 {
 		t.Fatal("workload produced no mode flips; determinism check too weak")
 	}
@@ -344,29 +340,35 @@ func TestAdaptiveDeterminism(t *testing.T) {
 	if !anyRetune {
 		t.Fatal("no controller retuned; determinism check too weak")
 	}
-	drives := map[string]func(s *Sharded, pkts []packet.Packet){
-		"parallel":  func(s *Sharded, pkts []packet.Packet) { s.RunParallel(pkts, 64) },
-		"batch-32":  func(s *Sharded, pkts []packet.Packet) { s.RunParallelBatches(pkts, 32) },
-		"batch-512": func(s *Sharded, pkts []packet.Packet) { s.RunParallelBatches(pkts, 512) },
-	}
-	for name, drive := range drives {
-		got := run(drive)
-		if got.flips != ref.flips {
-			t.Errorf("%s: switchovers = %d, want %d", name, got.flips, ref.flips)
+	// One accumulator per shard, flushed into that shard, so the per-shard
+	// signatures (which include Stats) stay comparable.
+	got := run(func(s *Sharded, pkts []packet.Packet) {
+		accs := make([]BatchAcc, s.NumShards())
+		for i := range pkts {
+			p := &pkts[i]
+			key := p.Key()
+			hash := key.Hash()
+			s.ObserveProcessHashed(p, hash, key, &accs[s.ShardOf(hash)])
 		}
-		for i := range ref.sigs {
-			if got.sigs[i] != ref.sigs[i] {
-				t.Errorf("%s: shard %d state signature %#x != sequential %#x", name, i, got.sigs[i], ref.sigs[i])
-			}
-			if got.states[i] != ref.states[i] {
-				t.Errorf("%s: shard %d controller state %+v != sequential %+v", name, i, got.states[i], ref.states[i])
-			}
+		for i := range accs {
+			s.Shard(i).FlushAcc(&accs[i])
+		}
+	})
+	if got.flips != ref.flips {
+		t.Errorf("switchovers = %d, want %d", got.flips, ref.flips)
+	}
+	for i := range ref.sigs {
+		if got.sigs[i] != ref.sigs[i] {
+			t.Errorf("shard %d state signature %#x != reference %#x", i, got.sigs[i], ref.sigs[i])
+		}
+		if got.states[i] != ref.states[i] {
+			t.Errorf("shard %d controller state %+v != reference %+v", i, got.states[i], ref.states[i])
 		}
 	}
 }
 
 // TestControllerStateRace: metrics collectors read per-shard controller
-// state and obs gauges while shard workers drive the adaptive loop. Run
+// state and obs gauges while the datapath drives the adaptive loop. Run
 // under -race (make race / CI) to validate the locking.
 func TestControllerStateRace(t *testing.T) {
 	cfg, ctlCfg := adaptiveShardedCfg()
@@ -394,7 +396,7 @@ func TestControllerStateRace(t *testing.T) {
 			_ = sink
 		}
 	}()
-	s.RunParallel(pkts, 64)
+	observeAll(s, pkts)
 	close(done)
 	wg.Wait()
 }

@@ -66,7 +66,7 @@ func dumpState(c cacheLike) string {
 }
 
 // TestShardedOneEqualsPlain: at shards=1 the Sharded wrapper must be
-// byte-identical to a plain Cache + Controller driven the legacy way.
+// byte-identical to a plain Cache + Controller driven per packet.
 func TestShardedOneEqualsPlain(t *testing.T) {
 	cfg := smallConfig()
 	ctlCfg := ControllerConfig{Alpha: 0.75, WindowNs: 1e6, EtaHigh: 30e6, EtaLow: 25e6}
@@ -81,9 +81,7 @@ func TestShardedOneEqualsPlain(t *testing.T) {
 	}
 
 	sh := NewSharded(1, cfg, ctlCfg)
-	for i := range trace {
-		sh.ObserveProcess(&trace[i])
-	}
+	observeAll(sh, trace)
 
 	if ctl.Switchovers() == 0 {
 		t.Fatal("trace never crossed a switchover threshold; test is vacuous")
@@ -101,33 +99,28 @@ func TestShardedOneEqualsPlain(t *testing.T) {
 // plainAdapter lets a bare *Cache satisfy cacheLike.
 type plainAdapter struct{ *Cache }
 
-// TestShardedParallelMatchesSequential: one worker per shard must land in
-// exactly the state of a sequential loop — shards are disjoint and each
-// shard sees its packets in arrival order. Run under -race by `make race`
-// and the CI shards job.
-func TestShardedParallelMatchesSequential(t *testing.T) {
-	cfg := smallConfig()
-	ctlCfg := ControllerConfig{Alpha: 0.75, WindowNs: 1e6, EtaHigh: 30e6, EtaLow: 25e6}
-	trace := shardTrace(60_000)
-	const shards = 4
-
-	seq := NewSharded(shards, cfg, ctlCfg)
-	for i := range trace {
-		seq.ObserveProcess(&trace[i])
+// observeAll drives pkts through the platform's datapath step
+// (ObserveProcessHashed), flushing the stat accumulator once at the end.
+func observeAll(s *Sharded, pkts []packet.Packet) {
+	var acc BatchAcc
+	for i := range pkts {
+		p := &pkts[i]
+		key := p.Key()
+		s.ObserveProcessHashed(p, key.Hash(), key, &acc)
 	}
+	s.FlushAcc(&acc)
+}
 
-	par := NewSharded(shards, cfg, ctlCfg)
-	if n := par.RunParallel(trace, 64); n != uint64(len(trace)) {
-		t.Fatalf("RunParallel processed %d, want %d", n, len(trace))
-	}
-
-	if got, want := par.Switchovers(), seq.Switchovers(); got != want {
-		t.Errorf("switchovers = %d, want %d", got, want)
-	}
-	wantDump := dumpState(seq)
-	gotDump := dumpState(par)
-	if gotDump != wantDump {
-		t.Errorf("parallel state diverged from sequential:\n%s", firstDiff(wantDump, gotDump))
+// observeProcessRef is the per-packet reference for ObserveProcessHashed,
+// composed from the shard accessors: the owning shard's controller
+// observes the arrival, then the shard runs Process with per-packet
+// atomic stats.
+func observeProcessRef(s *Sharded, pkts []packet.Packet) {
+	for i := range pkts {
+		p := &pkts[i]
+		sh := s.ShardOf(p.Key().Hash())
+		s.ShardController(sh).Observe(p.Ts, 1)
+		s.Shard(sh).Process(p)
 	}
 }
 
@@ -164,8 +157,8 @@ func TestShardedRouting(t *testing.T) {
 	s := NewSharded(4, smallConfig(), ControllerConfig{})
 	for i := 0; i < 512; i++ {
 		p := pkt(i, int64(i+1))
-		s.Process(&p)
 		k := p.Key()
+		s.Shard(s.ShardOf(k.Hash())).Process(&p)
 		if got := s.ShardOf(k.Hash()); got != s.ShardOf(p.Hash()) {
 			t.Fatalf("flow %d: key hash routes to %d, packet hash to %d", i, got, s.ShardOf(p.Hash()))
 		}
@@ -198,8 +191,7 @@ func TestShardedModeSwitchCallback(t *testing.T) {
 		flips[shard]++
 		mu.Unlock()
 	}
-	trace := shardTrace(60_000)
-	s.RunParallel(trace, 0)
+	observeAll(s, shardTrace(60_000))
 	var total uint64
 	for i := 0; i < s.NumShards(); i++ {
 		if flips[i] != s.ShardController(i).Switchovers() {
